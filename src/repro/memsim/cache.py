@@ -51,6 +51,7 @@ reproducible run-to-run and lets both backends agree bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -134,9 +135,10 @@ def _collapse_batch(lines: np.ndarray, set_mask: int, n_sets: int):
     residual).
     """
     n = lines.size
-    sets = lines & set_mask
     # narrow keys take numpy's radix-sort path (~8x faster argsort)
-    keys = sets.astype(np.uint16) if n_sets <= 65536 else sets
+    keys = lines & set_mask
+    if n_sets <= 65536:
+        keys = keys.astype(np.uint16)
     # stage 1: lines[i] == lines[i-k], no intervening same-set access
     recent = np.zeros(n, dtype=bool)
     for k in (2, 3, 4):
@@ -152,6 +154,9 @@ def _collapse_batch(lines: np.ndarray, set_mask: int, n_sets: int):
     else:
         keep = None
         kk = keys
+    # drop intermediates as soon as they are used: block replay hands
+    # this function long streams, so its peak memory sets the replay's
+    del recent, keys
     m0 = kk.size  # >= 1: indices 0..1 are never collapsed
     # stage 2: group by set, drop in-set duplicate runs.  ko maps the
     # sorted survivors straight back to original batch positions.
@@ -159,27 +164,40 @@ def _collapse_batch(lines: np.ndarray, set_mask: int, n_sets: int):
     ko = order if keep is None else keep[order]
     sl = lines[ko]
     ss = kk[order]
-    dup = np.empty(m0, dtype=bool)
-    dup[0] = False
-    np.logical_and(ss[1:] == ss[:-1], sl[1:] == sl[:-1], out=dup[1:])
-    res = ~dup
+    del order, keep, kk
+    res = np.empty(m0, dtype=bool)
+    res[0] = True
+    np.logical_and(ss[1:] == ss[:-1], sl[1:] == sl[:-1], out=res[1:])
+    np.logical_not(res[1:], out=res[1:])
     r_lines = sl[res]
     r_sets = ss[res].astype(np.int64)
+    r_pos = ko[res]
+    del ko, sl, ss, res
     m = r_lines.size  # >= 1: the first sorted access always survives
     # rank = each residual access's position within its set
     new_grp = np.empty(m, dtype=bool)
     new_grp[0] = True
     np.not_equal(r_sets[1:], r_sets[:-1], out=new_grp[1:])
     grp_start = np.flatnonzero(new_grp)
-    grp_id = np.cumsum(new_grp) - 1
-    rank = np.arange(m, dtype=np.int64) - grp_start[grp_id]
+    grp_id = np.cumsum(new_grp)
+    grp_id -= 1
+    rank = np.arange(m, dtype=np.int64)
+    rank -= grp_start[grp_id]
 
     def miss_positions(hits_res: np.ndarray) -> np.ndarray:
-        mp = ko[res][~hits_res]
+        mp = r_pos[~hits_res]
         mp.sort()  # ascending position = original stream order
         return mp
 
     return r_lines, r_sets, rank, miss_positions
+
+
+def _int_pairs(a: np.ndarray, b: np.ndarray, step: int = 4096):
+    """``zip(a.tolist(), b.tolist())``, converted ``step`` elements at a
+    time: a long residual never holds all its lines as Python ints."""
+    return chain.from_iterable(
+        zip(a[lo:lo + step].tolist(), b[lo:lo + step].tolist())
+        for lo in range(0, a.size, step))
 
 
 def _round_schedule(rank: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,35 +393,44 @@ class Cache:
         Misses insert the line (fill on miss, i.e. allocate-on-read).
         """
         lines = np.asarray(lines, dtype=np.int64)
+        return lines[self.access_positions(lines)]
+
+    def access_positions(self, lines) -> np.ndarray:
+        """Access ``lines`` in order; return the positions of the misses.
+
+        Positions index ``lines`` and ascend.  A caller that fed several
+        requesters' lines in one call credits each miss to its requester
+        from its position.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
         if self.track_evictions:
             self.last_evicted = []
         if lines.size == 0:
-            return lines
+            return np.empty(0, dtype=np.int64)
         policy = self.config.replacement
         if policy == "direct":
             return self._access_direct(lines)
         if self.backend == "vector":
-            missed_idx = self._vec_replay(lines, policy,
-                                          track=self.track_evictions,
-                                          count_evictions=True)
-            self.stats.accesses += lines.size
-            self.stats.misses += missed_idx.size
-            self.stats.hits += lines.size - missed_idx.size
-            return lines[missed_idx]
-        if policy == "lru":
-            missed = self._access_lru(lines)
-        elif policy == "fifo":
-            missed = self._access_fifo(lines)
-        elif policy == "random":
-            missed = self._access_random(lines)
+            missed = self._vec_replay(lines, policy,
+                                      track=self.track_evictions,
+                                      count_evictions=True)
         else:
-            missed = self._access_plru(lines)
+            if policy == "lru":
+                missed = self._access_lru(lines)
+            elif policy == "fifo":
+                missed = self._access_fifo(lines)
+            elif policy == "random":
+                missed = self._access_random(lines)
+            else:
+                missed = self._access_plru(lines)
+            missed = np.asarray(missed, dtype=np.int64)
         self.stats.accesses += lines.size
-        self.stats.misses += len(missed)
-        self.stats.hits += lines.size - len(missed)
-        return np.asarray(missed, dtype=np.int64)
+        self.stats.misses += missed.size
+        self.stats.hits += lines.size - missed.size
+        return missed
 
     # -- scalar policies (the reference oracle) ---------------------------------
+    # each returns the positions of its misses, ascending
 
     def _access_lru(self, lines: np.ndarray) -> list:
         sets = self._sets
@@ -412,14 +439,14 @@ class Cache:
         track = self.track_evictions
         missed: list = []
         ap = missed.append
-        for ln in lines.tolist():
+        for i, ln in enumerate(lines.tolist()):
             s = sets[ln & mask]
             if ln in s:
                 if s[0] != ln:
                     s.remove(ln)
                     s.insert(0, ln)
             else:
-                ap(ln)
+                ap(i)
                 s.insert(0, ln)
                 if len(s) > ways:
                     victim = s.pop()
@@ -434,10 +461,10 @@ class Cache:
         ways = self.config.ways
         missed: list = []
         ap = missed.append
-        for ln in lines.tolist():
+        for i, ln in enumerate(lines.tolist()):
             s = sets[ln & mask]
             if ln not in s:
-                ap(ln)
+                ap(i)
                 s.insert(0, ln)
                 if len(s) > ways:
                     victim = s.pop()
@@ -454,11 +481,11 @@ class Cache:
         seq = self._evict_seq
         missed: list = []
         ap = missed.append
-        for ln in lines.tolist():
+        for i, ln in enumerate(lines.tolist()):
             si = ln & mask
             s = sets[si]
             if ln not in s:
-                ap(ln)
+                ap(i)
                 if len(s) < ways:
                     s.append(ln)
                 else:
@@ -479,7 +506,7 @@ class Cache:
         tree_tab = self._tree
         missed: list = []
         ap = missed.append
-        for ln in lines.tolist():
+        for i, ln in enumerate(lines.tolist()):
             si = ln & mask
             resident = lines_tab[si]
             tree = tree_tab[si]
@@ -489,7 +516,7 @@ class Cache:
             except ValueError:
                 hit = False
             if not hit:
-                ap(ln)
+                ap(i)
                 # walk the tree following the PLRU bits to the victim leaf
                 node = 0
                 way = 0
@@ -564,7 +591,7 @@ class Cache:
         n_misses = lines.size - n_hits
         self.stats.misses += n_misses
         self.stats.evictions += n_misses - int(filled_empty.sum())
-        return lines[~hits]
+        return np.flatnonzero(~hits)
 
     # -- vectorized replay -------------------------------------------------------
 
@@ -625,7 +652,7 @@ class Cache:
             # inserts at the front and pops the tail, which is the padded
             # slot when one existed (a fill) and the true victim otherwise
             refresh = policy == "lru"
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
+            for ln, s in _int_pairs(r_lines, r_sets):
                 row = get(s)
                 if row is None:
                     row = state[s] = tags[s].tolist()
@@ -646,7 +673,7 @@ class Cache:
         elif policy == "random":
             seed = self._seed
             seq = self._evict_seq
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
+            for ln, s in _int_pairs(r_lines, r_sets):
                 row = get(s)
                 if row is None:
                     row = state[s] = tags[s].tolist()
@@ -668,7 +695,7 @@ class Cache:
             trees = self._tree_v
             levels = ways.bit_length() - 1
             tstate: dict = {}
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
+            for ln, s in _int_pairs(r_lines, r_sets):
                 row = get(s)
                 if row is None:
                     row = state[s] = tags[s].tolist()

@@ -50,6 +50,17 @@ class CostModel:
         cycles += counts.tlb_misses * spec.tlb_miss_cycles
         return cycles
 
+    def thread_cycles(self, counts: ServiceCounts, n_ops: int,
+                      spec: PlatformSpec) -> float:
+        """One thread's cycles from its whole-run service totals.
+
+        Every replay and pricing path charges a thread through this one
+        formula.  The totals are integers and every cost term of the
+        shipped presets is a multiple of 0.5 cycles, so one evaluation
+        equals the sum over the thread's batches bit for bit.
+        """
+        return self.access_cycles(counts, spec) + self.compute_cycles(n_ops)
+
     def compute_cycles(self, n_ops: int) -> float:
         """Cycles spent on arithmetic for ``n_ops`` kernel operations."""
         return n_ops * self.cpi_compute

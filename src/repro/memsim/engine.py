@@ -6,7 +6,9 @@ in fixed quanta, and drives them through a :class:`Machine`.  Quantum
 interleaving is what makes shared caches behave like shared caches:
 threads pinned to the same core (MIC SMT) or socket (Ivy Bridge L3)
 evict each other exactly as concurrent hardware threads would, up to
-the quantum granularity.
+the quantum granularity.  The schedule is replayed in blocks of rounds,
+level by level (:meth:`Machine.replay`), which gives exactly the
+results of replaying it one quantum batch at a time.
 
 The result bundles the platform counters, per-level service totals, and
 the cost-model runtime, with optional extrapolation factors applied by
@@ -28,6 +30,11 @@ from .stackdist import HistogramStore, per_thread_histograms, stack_ineligibilit
 from .trace import TraceChunk
 
 __all__ = ["ThreadWork", "SimResult", "SimulationEngine"]
+
+#: Lines of quantum batches replayed per block.  A block walks the
+#: hierarchy level by level, so its size trades per-call overhead
+#: against the memory its intermediate streams hold.
+_BLOCK_LINES = 1 << 15
 
 
 @dataclass
@@ -153,50 +160,51 @@ class SimulationEngine:
             return self._run_stack(works)
         if reset:
             self.machine.reset()
-        for w in works:
-            if not 0 <= w.core < self.spec.n_cores:
-                raise ValueError(
-                    f"thread {w.thread_id} bound to core {w.core}, but platform "
-                    f"{self.spec.name} has {self.spec.n_cores} cores"
-                )
-        cycles: Dict[int, float] = {w.thread_id: 0.0 for w in works}
-        served_total = ServiceCounts()
-        with _trace.span("engine.replay", platform=self.spec.name,
+        self._check_cores(works)
+        spec = self.spec
+        machine = self.machine
+        # rows: one per level, then memory, then TLB misses; one column
+        # per work
+        totals = [[0] * len(works) for _ in range(len(spec.levels) + 2)]
+        with _trace.span("engine.replay", platform=spec.name,
                          threads=len(works), quantum=self.quantum) as sp:
-            positions = [0] * len(works)
-            pre_credit = [w.chunk.collapsed_hits for w in works]
-            active = [w.chunk.lines.size > 0 or pre_credit[i] > 0
-                      for i, w in enumerate(works)]
-            q = self.quantum
-            while any(active):
-                for idx, w in enumerate(works):
-                    if not active[idx]:
-                        continue
-                    pos = positions[idx]
-                    batch = w.chunk.lines[pos:pos + q]
-                    positions[idx] = pos + batch.size
-                    credit = pre_credit[idx]
-                    pre_credit[idx] = 0
-                    counts = self.machine.access(w.core, batch,
-                                                 pre_collapsed_hits=credit)
-                    cycles[w.thread_id] += self.cost.access_cycles(counts,
-                                                                   self.spec)
-                    served_total = served_total.merge(counts)
-                    if positions[idx] >= w.chunk.lines.size:
-                        active[idx] = False
+            for i, w in enumerate(works):
+                machine.credit_hits(w.core, w.chunk.collapsed_hits)
+                totals[0][i] = w.chunk.collapsed_hits
+            streams = [w.chunk.lines for w in works]
+            timing: Dict[str, List[float]] = {}
+            for thread, start, end in self._blocks(streams):
+                machine.replay(streams, [works[t].core for t in thread],
+                               thread, start, end, totals, timing)
             sp.add("lines", sum(w.chunk.lines.size for w in works))
             sp.add("accesses", sum(w.chunk.n_accesses for w in works))
+            for name, (seconds, lines) in timing.items():
+                sp.add(f"{name}_s", seconds)
+                sp.add(f"{name}_lines", lines)
         with _trace.span("engine.cost") as sp:
-            for w in works:
-                cycles[w.thread_id] += self.cost.compute_cycles(w.chunk.n_ops)
+            names = spec.level_names()
+            by_thread: Dict[int, List[int]] = {}
+            n_ops: Dict[int, int] = {}
+            for i, w in enumerate(works):
+                column = by_thread.setdefault(w.thread_id, [0] * len(totals))
+                for r, row in enumerate(totals):
+                    column[r] += row[i]
+                n_ops[w.thread_id] = n_ops.get(w.thread_id, 0) + w.chunk.n_ops
+            cycles = {
+                tid: self.cost.thread_cycles(
+                    ServiceCounts(per_level=dict(zip(names, t)),
+                                  mem=t[-2], tlb_misses=t[-1]),
+                    n_ops[tid], spec)
+                for tid, t in by_thread.items()
+            }
             runtime = self.cost.seconds(max(cycles.values(), default=0.0),
-                                        self.spec)
-            level_served = {k: float(v)
-                            for k, v in served_total.per_level.items()}
-            level_served["MEM"] = float(served_total.mem)
+                                        spec)
+            served = [sum(row) for row in totals]
+            level_served = {name: float(n) for name, n in zip(names, served)}
+            level_served["MEM"] = float(served[-2])
             result = SimResult(
                 counters={k: float(v)
-                          for k, v in self.machine.all_counters().items()},
+                          for k, v in machine.all_counters().items()},
                 level_served=level_served,
                 runtime_seconds=runtime,
                 per_thread_cycles=cycles,
@@ -204,6 +212,46 @@ class SimulationEngine:
             )
             sp.add("mem_lines", level_served["MEM"])
         return result
+
+    def _check_cores(self, works: List[ThreadWork]) -> None:
+        for w in works:
+            if not 0 <= w.core < self.spec.n_cores:
+                raise ValueError(
+                    f"thread {w.thread_id} bound to core {w.core}, but platform "
+                    f"{self.spec.name} has {self.spec.n_cores} cores"
+                )
+
+    def _blocks(self, streams: List[np.ndarray]):
+        """The round-robin quantum schedule, in blocks of whole rounds.
+
+        Round ``r`` gives every thread with lines left its next
+        ``quantum`` lines, in thread order.  Yields per block the
+        batches' ``(thread, start, end)`` lists in schedule order.  A
+        block holds as many rounds as fit in ``_BLOCK_LINES`` (at least
+        one), or a single batch when the platform
+        :attr:`~repro.memsim.hierarchy.PlatformSpec.replays_per_batch`.
+        """
+        q = self.quantum
+        lens = np.array([s.size for s in streams], dtype=np.int64)
+        n_rounds = int(-(-lens.max() // q)) if lens.size else 0
+        single = self.spec.replays_per_batch
+        threads = np.arange(lens.size, dtype=np.int64)
+        r = 0
+        while r < n_rounds:
+            width = int(np.count_nonzero(lens > r * q)) * q
+            stop = min(n_rounds, r + max(1, _BLOCK_LINES // width))
+            starts = np.arange(r, stop, dtype=np.int64)[:, None] * q
+            live = lens > starts
+            thread = np.broadcast_to(threads, live.shape)[live]
+            start = np.broadcast_to(starts, live.shape)[live]
+            end = np.minimum(start + q, lens[thread])
+            batches = thread.tolist(), start.tolist(), end.tolist()
+            if single:
+                for t, a, e in zip(*batches):
+                    yield [t], [a], [e]
+            else:
+                yield batches
+            r = stop
 
     # -- stack-distance pricing ----------------------------------------------
 
@@ -256,22 +304,17 @@ class SimulationEngine:
         """Price the run from per-stream stack-distance histograms.
 
         Miss counts are bit-for-bit those of the replayer on this
-        (single-level fully-associative LRU) platform; the runtime is
-        the same linear cost model evaluated on whole-thread totals, so
-        it matches the replayer's per-quantum accumulation up to float
-        rounding.
+        (single-level fully-associative LRU) platform, and the runtime
+        comes from the same per-thread totals through the same
+        :meth:`CostModel.thread_cycles`, so it is identical too.
         """
         self.machine.reset()
-        for w in works:
-            if not 0 <= w.core < self.spec.n_cores:
-                raise ValueError(
-                    f"thread {w.thread_id} bound to core {w.core}, but platform "
-                    f"{self.spec.name} has {self.spec.n_cores} cores"
-                )
+        self._check_cores(works)
         level = self.spec.levels[0]
         level_name = level.cache.name
         capacity_lines = level.cache.capacity_bytes // level.cache.line_bytes
-        cycles: Dict[int, float] = {w.thread_id: 0.0 for w in works}
+        hits: Dict[int, int] = {w.thread_id: 0 for w in works}
+        misses: Dict[int, int] = dict(hits)
         total_hits = 0
         total_misses = 0
         store_hits_before = self.histogram_store.hits
@@ -296,10 +339,8 @@ class SimulationEngine:
                         inst_cold += hist.cold
                     else:  # thread contributed only collapsed hits
                         t_hits = t_misses = 0
-                    counts = ServiceCounts(
-                        per_level={level_name: t_hits + credit},
-                        mem=t_misses)
-                    cycles[tid] += self.cost.access_cycles(counts, self.spec)
+                    hits[tid] += t_hits + credit
+                    misses[tid] += t_misses
                     inst_hits += t_hits + credit
                     inst_misses += t_misses
                 instances[key].stats = CacheStats(
@@ -315,8 +356,16 @@ class SimulationEngine:
             sp.add("histogram_cache_hits",
                    self.histogram_store.hits - store_hits_before)
         with _trace.span("engine.cost") as sp:
+            n_ops: Dict[int, int] = {}
             for w in works:
-                cycles[w.thread_id] += self.cost.compute_cycles(w.chunk.n_ops)
+                n_ops[w.thread_id] = n_ops.get(w.thread_id, 0) + w.chunk.n_ops
+            cycles = {
+                tid: self.cost.thread_cycles(
+                    ServiceCounts(per_level={level_name: hits[tid]},
+                                  mem=misses[tid]),
+                    n_ops[tid], self.spec)
+                for tid in hits
+            }
             runtime = self.cost.seconds(max(cycles.values(), default=0.0),
                                         self.spec)
             result = SimResult(

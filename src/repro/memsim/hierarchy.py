@@ -21,6 +21,7 @@ Scope semantics
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,6 +127,18 @@ class PlatformSpec:
         """Hardware thread capacity ``n_cores * smt``."""
         return self.n_cores * self.smt
 
+    @property
+    def replays_per_batch(self) -> bool:
+        """True when replay must walk one quantum batch at a time.
+
+        An inclusive LLC back-invalidates inner caches in the middle of
+        a round, and a prefetcher observes the 16-line sub-batches of
+        each batch; in both cases a later batch's inner-level accesses
+        depend on an earlier batch's outer-level ones.
+        """
+        return self.inclusive or any(lv.prefetch is not None
+                                     for lv in self.levels)
+
     def level_names(self) -> List[str]:
         """Level labels, inner to outer."""
         return [lv.cache.name for lv in self.levels]
@@ -145,7 +158,8 @@ class PlatformSpec:
 
 @dataclass
 class ServiceCounts:
-    """How many requests of one batch each memory level served."""
+    """How many requests each memory level served, for one batch or for
+    one thread's whole run."""
 
     per_level: Dict[str, int] = field(default_factory=dict)
     mem: int = 0
@@ -163,6 +177,46 @@ class ServiceCounts:
         for k in set(self.per_level) | set(other.per_level):
             out.per_level[k] = self.per_level.get(k, 0) + other.per_level.get(k, 0)
         return out
+
+
+def _groups(keys: Sequence[int]) -> Dict[int, List[int]]:
+    """Batch indices per distinct key, each list in batch order."""
+    groups: Dict[int, List[int]] = {}
+    for b, key in enumerate(keys):
+        groups.setdefault(key, []).append(b)
+    return groups
+
+
+def _gather(streams: Sequence[np.ndarray], src: List[int], start: List[int],
+            end: List[int], batches: List[int]):
+    """Concatenate ``streams[src[b]][start[b]:end[b]]`` over ``batches``.
+
+    Returns the lines and the batch offsets into them.  Slices that
+    continue one another in the same stream are joined first, so one
+    thread's consecutive batches cost a view, not a copy.
+    """
+    off = [0]
+    pieces: List[List[int]] = []
+    for b in batches:
+        s, a, e = src[b], start[b], end[b]
+        off.append(off[-1] + e - a)
+        if pieces and pieces[-1][0] == s and pieces[-1][2] == a:
+            pieces[-1][2] = e
+        else:
+            pieces.append([s, a, e])
+    if len(pieces) == 1:
+        s, a, e = pieces[0]
+        return streams[s][a:e], off
+    return np.concatenate([streams[s][a:e] for s, a, e in pieces]), off
+
+
+def _tick(timing: Optional[Dict[str, List[float]]], name: str, t0: float,
+          lines: int) -> None:
+    """Add one level pass's host seconds and input lines to ``timing``."""
+    if timing is not None:
+        entry = timing.setdefault(name, [0.0, 0])
+        entry[0] += time.perf_counter() - t0
+        entry[1] += lines
 
 
 class Machine:
@@ -247,62 +301,148 @@ class Machine:
         """
         if not 0 <= core < self.spec.n_cores:
             raise ValueError(f"core {core} out of range 0..{self.spec.n_cores - 1}")
-        counts = ServiceCounts()
         lines = np.asarray(lines, dtype=np.int64)
-        if self._tlbs is not None and lines.size:
-            pages = lines // self._lines_per_page
-            keep = np.empty(pages.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(pages[1:], pages[:-1], out=keep[1:])
-            tlb = self._tlbs[core]
-            missed_pages = tlb.access_lines(pages[keep])
-            # collapsed repeats are guaranteed TLB hits
-            repeats = int(pages.size - keep.sum())
-            tlb.stats.accesses += repeats
-            tlb.stats.hits += repeats
-            counts.tlb_misses = int(missed_pages.size)
-        pending = lines
-        for li, level in enumerate(self.spec.levels):
-            cache = self._instance_for(li, core)
-            name = level.cache.name
-            if li == 0 and pre_collapsed_hits:
-                cache.stats.accesses += pre_collapsed_hits
-                cache.stats.hits += pre_collapsed_hits
-            if pending.size == 0:
-                counts.per_level.setdefault(name, 0)
-                if li == 0 and pre_collapsed_hits:
-                    counts.per_level[name] += pre_collapsed_hits
-                continue
-            prefetchers = self._prefetchers[li]
-            if prefetchers is not None:
-                # timely-prefetch approximation: observe/install and
-                # demand-access in small sub-batches so the prefetcher
-                # never runs unboundedly ahead of the demand stream
-                # (which would evict its own fills)
-                pf = prefetchers[core]
-                missed_parts = []
-                evicted_all: list = []
-                for start in range(0, pending.size, 16):
-                    part = pending[start:start + 16]
-                    pf.observe_and_fill(part, cache)
-                    missed_parts.append(cache.access_lines(part))
-                    if cache.track_evictions:
-                        evicted_all.extend(cache.last_evicted)
-                missed = np.concatenate(missed_parts)
+        totals = [[0] for _ in range(len(self.spec.levels) + 2)]
+        self.credit_hits(core, pre_collapsed_hits)
+        totals[0][0] = pre_collapsed_hits
+        self.replay([lines], [core], [0], [0], [lines.size], totals)
+        return ServiceCounts(
+            per_level={name: row[0] for name, row
+                       in zip(self.spec.level_names(), totals)},
+            mem=totals[-2][0],
+            tlb_misses=totals[-1][0],
+        )
+
+    def credit_hits(self, core: int, hits: int) -> None:
+        """Count ``hits`` collapsed repeats as hits of ``core``'s L1."""
+        if hits:
+            stats = self._instance_for(0, core).stats
+            stats.accesses += hits
+            stats.hits += hits
+
+    def replay(self, streams: Sequence[np.ndarray], core: List[int],
+               thread: List[int], start: List[int], end: List[int],
+               totals: List[List[int]],
+               timing: Optional[Dict[str, List[float]]] = None) -> None:
+        """Walk a block of batches through the hierarchy, level by level.
+
+        Batch ``b`` is ``streams[thread[b]][start[b]:end[b]]``, issued by
+        ``core[b]``; batches come in schedule order.  Each cache instance
+        (and each per-core TLB) is called once, with every line still
+        pending at its level from the batches it serves, concatenated in
+        batch order.  This is exact: an instance's state depends only
+        on the order of the lines it receives, and it receives them in
+        the order a batch-at-a-time walk would feed them.  It is not
+        exact when ``spec.replays_per_batch``; then a block must be one
+        batch.
+
+        Service counts are added into ``totals``, one row per level,
+        then memory, then TLB misses, one column per thread.  When
+        ``timing`` is given, each level's (and the TLB's) host seconds
+        and input lines are added into ``timing[name]``.
+        """
+        spec = self.spec
+        if len(core) > 1 and spec.replays_per_batch:
+            raise ValueError(
+                f"platform {spec.name} replays one batch at a time")
+        if self._tlbs is not None:
+            t0 = time.perf_counter()
+            fed = 0
+            row = totals[-1]
+            for key, batches in _groups(core).items():
+                stream, off = _gather(streams, thread, start, end, batches)
+                if stream.size:
+                    fed += stream.size
+                    for b, n in zip(batches,
+                                    self._tlb_misses(key, stream, off)):
+                        row[thread[b]] += n
+            _tick(timing, spec.tlb.name, t0, fed)
+        src = thread
+        for li, level in enumerate(spec.levels):
+            if start == end:
+                break  # every line was served by an inner level
+            t0 = time.perf_counter()
+            fed = 0
+            row = totals[li]
+            missed_streams: List[np.ndarray] = []
+            n = len(core)
+            next_src, next_start, next_end = [0] * n, [0] * n, [0] * n
+            keys = [self.instance_key(li, c) for c in core]
+            for key, batches in _groups(keys).items():
+                stream, off = _gather(streams, src, start, end, batches)
+                fed += stream.size
+                mp = (self._level_access(li, key, core[batches[0]], stream)
+                      if stream.size else stream)
+                cuts = mp.searchsorted(off).tolist()
+                k = len(missed_streams)
+                missed_streams.append(stream[mp])
+                for j, b in enumerate(batches):
+                    row[thread[b]] += (off[j + 1] - off[j]
+                                       - (cuts[j + 1] - cuts[j]))
+                    next_src[b] = k
+                    next_start[b] = cuts[j]
+                    next_end[b] = cuts[j + 1]
+            # this level's input is consumed: only its misses go on
+            streams, src, start, end = (missed_streams, next_src,
+                                        next_start, next_end)
+            _tick(timing, level.cache.name, t0, fed)
+        row = totals[-2]
+        for t, a, e in zip(thread, start, end):
+            row[t] += e - a
+
+    def _tlb_misses(self, core: int, lines: np.ndarray,
+                    off: List[int]) -> List[int]:
+        """Look ``lines`` up in ``core``'s TLB; misses per batch.
+
+        Consecutive lines on one page are looked up once, except that
+        the first page of every batch is always looked up.  The
+        collapsed repeats are guaranteed hits.
+        """
+        pages = lines // self._lines_per_page
+        keep = np.empty(pages.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+        firsts = [a for a, e in zip(off, off[1:]) if e > a]
+        keep[firsts] = True
+        kept = iter(np.add.reduceat(keep, firsts, dtype=np.int64).tolist())
+        kept_off = [0]
+        for a, e in zip(off, off[1:]):
+            kept_off.append(kept_off[-1] + (next(kept) if e > a else 0))
+        tlb = self._tlbs[core]
+        cuts = tlb.access_positions(pages[keep]).searchsorted(kept_off)
+        repeats = pages.size - kept_off[-1]
+        tlb.stats.accesses += repeats
+        tlb.stats.hits += repeats
+        return (cuts[1:] - cuts[:-1]).tolist()
+
+    def _level_access(self, level_index: int, key: int, core: int,
+                      lines: np.ndarray) -> np.ndarray:
+        """Feed one instance of a level; positions of its misses."""
+        cache = self._caches[level_index][key]
+        prefetchers = self._prefetchers[level_index]
+        if prefetchers is None:
+            missed = cache.access_positions(lines)
+        else:
+            # timely-prefetch approximation: observe/install and
+            # demand-access in small sub-batches so the prefetcher
+            # never runs unboundedly ahead of the demand stream
+            # (which would evict its own fills)
+            pf = prefetchers[core]
+            parts = []
+            evicted_all: list = []
+            for start in range(0, lines.size, 16):
+                part = lines[start:start + 16]
+                pf.observe_and_fill(part, cache)
+                parts.append(cache.access_positions(part) + start)
                 if cache.track_evictions:
-                    cache.last_evicted = evicted_all
-            else:
-                missed = cache.access_lines(pending)
-            if (self.spec.inclusive and li == len(self.spec.levels) - 1
-                    and li > 0 and cache.last_evicted):
-                self._back_invalidate(li, core, cache.last_evicted)
-            served = pending.size - missed.size
-            counts.per_level[name] = served + (
-                pre_collapsed_hits if li == 0 else 0
-            )
-            pending = missed
-        counts.mem = int(pending.size)
-        return counts
+                    evicted_all.extend(cache.last_evicted)
+            missed = np.concatenate(parts)
+            if cache.track_evictions:
+                cache.last_evicted = evicted_all
+        if (self.spec.inclusive and level_index == len(self.spec.levels) - 1
+                and level_index > 0 and cache.last_evicted):
+            self._back_invalidate(level_index, core, cache.last_evicted)
+        return missed
 
     def _back_invalidate(self, llc_index: int, core: int,
                          evicted: list) -> None:

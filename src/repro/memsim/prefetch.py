@@ -86,7 +86,9 @@ class StreamPrefetcher:
                 run = 1
             if direction != 0 and run >= cfg.confirm:
                 for d in range(1, cfg.degree + 1):
-                    to_install.append(ln + direction * d)
+                    # a descending stream stops at line 0
+                    if ln + direction * d >= 0:
+                        to_install.append(ln + direction * d)
             last = ln
         self._last, self._direction, self._run = last, direction, run
         if to_install:

@@ -161,3 +161,15 @@ class TestMachineIntegration:
             m.access(0, np.arange(start, start + 10, dtype=np.int64))
             m.access(1, rng.permutation(10_000)[:10].astype(np.int64) + 50_000)
         assert m.prefetch_stats()["L2"]["issued"] > 0
+
+
+class TestDescendingStreamStopsAtZero:
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_no_negative_line_is_installed(self, backend):
+        c = Cache(CacheConfig("L2", 64 * 4, ways=4, replacement="random"),
+                  backend=backend)
+        pf = StreamPrefetcher(PrefetchConfig(degree=2))
+        pf.observe_and_fill(np.array([2, 1, 0]), c)
+        assert pf.issued == 1  # only line 0; -1 and -2 do not exist
+        assert c.resident_lines() == {0}
+        assert c.access_lines(np.array([0, 5, 6, 7])).tolist() == [5, 6, 7]

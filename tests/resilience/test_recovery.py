@@ -213,6 +213,11 @@ class TestParentKilled:
 
 
 class TestHangReapedByTimeout:
+    #: about 10x the slowest clean cell plus a worker start: the whole
+    #: four-cell batch takes ~0.08 s on two forked workers, and a
+    #: spawned worker's imports add ~0.35 s
+    TIMEOUT = 4
+
     def test_hung_cell_reaped_retried_and_counted(self, cells, clean_results):
         install_faults("hang@1:seconds=600")  # once: the retry completes
         trace.disable()
@@ -220,13 +225,14 @@ class TestHangReapedByTimeout:
         try:
             start = time.monotonic()
             results = run_cells_parallel(
-                cells, workers=2, timeout=30,
+                cells, workers=2, timeout=self.TIMEOUT,
                 retry=RetryPolicy(max_retries=1, backoff_base=0.01))
             elapsed = time.monotonic() - start
         finally:
             trace.disable()
         assert results == clean_results
-        assert elapsed < 300  # reaped at ~30s, nowhere near the 600s hang
+        # reaped at ~TIMEOUT s, nowhere near the 600s hang
+        assert elapsed < 300
         assert tracer.counters["resilience.timeouts"] >= 1
         assert tracer.counters["resilience.retries"] >= 1
 
