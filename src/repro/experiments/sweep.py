@@ -174,9 +174,9 @@ def sweep_cells(base: Cell, axes: Dict[str, Sequence],
     geometry) and no resilience knob is set, the sweep switches to the
     ``stack`` backend: each parameter point's trace is generated once
     and all capacities are priced from one stack-distance histogram.
-    Counters are bit-for-bit those of the replayer; runtimes agree to
-    float rounding (same cost model, one summation order instead of
-    per-quantum).  See docs/SIMULATOR.md.
+    Counters and runtimes are bit-for-bit those of the replayer: the
+    same per-thread totals go through the same cost model.  See
+    docs/SIMULATOR.md.
     """
     if on_error not in ("raise", "keep"):
         raise ValueError(f"on_error must be 'raise' or 'keep', "

@@ -8,7 +8,10 @@ threads pinned to the same core (MIC SMT) or socket (Ivy Bridge L3)
 evict each other exactly as concurrent hardware threads would, up to
 the quantum granularity.  The schedule is replayed in blocks of rounds,
 level by level (:meth:`Machine.replay`), which gives exactly the
-results of replaying it one quantum batch at a time.
+results of replaying it one quantum batch at a time.  The ``stack``
+backend walks the same blocks and prices each cache instance's stream
+from stack distances instead; both paths fill the same per-thread
+totals, and one cost step turns them into a result.
 
 The result bundles the platform counters, per-level service totals, and
 the cost-model runtime, with optional extrapolation factors applied by
@@ -17,15 +20,16 @@ the experiment harness when it simulated only a sample of the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..instrument import trace as _trace
-from .cache import REPLAY_BACKENDS, CacheStats
+from .cache import REPLAY_BACKENDS
 from .cost import CostModel
-from .hierarchy import Machine, PlatformSpec, ServiceCounts
+from .hierarchy import Machine, PlatformSpec, ServiceCounts, _gather, _groups
 from .stackdist import HistogramStore, per_thread_histograms, stack_ineligibility, stream_key
 from .trace import TraceChunk
 
@@ -112,10 +116,9 @@ class SimulationEngine:
         the replayer on any other configuration
         (:attr:`stack_fallback_reason` says why).
     histogram_store : HistogramStore, optional
-        Where the stack backend caches per-stream histograms.  Pass a
-        shared (optionally durable) store so capacity sweeps re-price
-        geometries without recomputing; defaults to a private in-memory
-        store.
+        Where the stack backend memoizes per-stream histograms.  Pass a
+        shared store so capacity sweeps re-price geometries without
+        recomputing; defaults to a private store.
     """
 
     def __init__(self, spec: PlatformSpec, cost: Optional[CostModel] = None,
@@ -150,37 +153,36 @@ class SimulationEngine:
 
     def run(self, works: List[ThreadWork], reset: bool = True) -> SimResult:
         """Simulate all thread streams to completion and account costs."""
-        if self.uses_stack:
-            if not reset:
-                raise ValueError(
-                    "backend='stack' prices each run from a cold cache and "
-                    "cannot continue warm state; use reset=True or a replay "
-                    "backend"
-                )
-            return self._run_stack(works)
-        if reset:
-            self.machine.reset()
-        self._check_cores(works)
+        stack = self.uses_stack
+        if stack and not reset:
+            raise ValueError(
+                "backend='stack' prices each run from a cold cache and "
+                "cannot continue warm state; use reset=True or a replay "
+                "backend"
+            )
         spec = self.spec
         machine = self.machine
+        if reset:
+            machine.reset()
+        self._check_cores(works)
         # rows: one per level, then memory, then TLB misses; one column
         # per work
         totals = [[0] * len(works) for _ in range(len(spec.levels) + 2)]
+        for i, w in enumerate(works):
+            machine.credit_hits(w.core, w.chunk.collapsed_hits)
+            totals[0][i] = w.chunk.collapsed_hits
+        streams = [w.chunk.lines for w in works]
+        cores = [w.core for w in works]
+        attrs = {"backend": "stack"} if stack else {}
         with _trace.span("engine.replay", platform=spec.name,
-                         threads=len(works), quantum=self.quantum) as sp:
-            for i, w in enumerate(works):
-                machine.credit_hits(w.core, w.chunk.collapsed_hits)
-                totals[0][i] = w.chunk.collapsed_hits
-            streams = [w.chunk.lines for w in works]
-            timing: Dict[str, List[float]] = {}
-            for thread, start, end in self._blocks(streams):
-                machine.replay(streams, [works[t].core for t in thread],
-                               thread, start, end, totals, timing)
+                         threads=len(works), quantum=self.quantum,
+                         **attrs) as sp:
+            price = self._price_stack if stack else self._replay
+            counters = price(streams, cores, totals)
             sp.add("lines", sum(w.chunk.lines.size for w in works))
             sp.add("accesses", sum(w.chunk.n_accesses for w in works))
-            for name, (seconds, lines) in timing.items():
-                sp.add(f"{name}_s", seconds)
-                sp.add(f"{name}_lines", lines)
+            for name, value in counters.items():
+                sp.add(name, value)
         with _trace.span("engine.cost") as sp:
             names = spec.level_names()
             by_thread: Dict[int, List[int]] = {}
@@ -253,129 +255,66 @@ class SimulationEngine:
                 yield batches
             r = stop
 
-    # -- stack-distance pricing ----------------------------------------------
+    def _replay(self, streams: List[np.ndarray], cores: List[int],
+                totals: List[List[int]]) -> Dict[str, float]:
+        """Replay the schedule through the machine into ``totals``.
 
-    def _instance_streams(self, works: List[ThreadWork]):
-        """Interleave the thread streams exactly as :meth:`run` would.
-
-        Replays the round-robin quantum schedule without touching any
-        cache, yielding per cache instance the (lines, thread_ids)
-        arrays in machine arrival order, plus the pre-collapsed-hit
-        credit per (instance, thread).  The interleave order is what
-        makes a shared instance shared, so it must match the replayer's
-        bit for bit.
+        Returns each level's (and the TLB's) host seconds and input
+        lines as span counters.
         """
-        batches: Dict[int, List[np.ndarray]] = {}
-        batch_tids: Dict[int, List[np.ndarray]] = {}
-        credits: Dict[int, Dict[int, int]] = {}
-        keys = [self.machine.instance_key(0, w.core) for w in works]
-        for key, w in zip(keys, works):
-            credits.setdefault(key, {})
-            credits[key][w.thread_id] = (credits[key].get(w.thread_id, 0)
-                                         + w.chunk.collapsed_hits)
-        positions = [0] * len(works)
-        active = [w.chunk.lines.size > 0 for w in works]
-        q = self.quantum
-        while any(active):
-            for idx, w in enumerate(works):
-                if not active[idx]:
-                    continue
-                pos = positions[idx]
-                batch = w.chunk.lines[pos:pos + q]
-                positions[idx] = pos + batch.size
-                key = keys[idx]
-                batches.setdefault(key, []).append(batch)
-                batch_tids.setdefault(key, []).append(
-                    np.full(batch.size, w.thread_id, dtype=np.int64))
-                if positions[idx] >= w.chunk.lines.size:
-                    active[idx] = False
-        streams = {}
-        for key in credits:
-            if key in batches:
-                lines = np.concatenate(batches[key])
-                tids = np.concatenate(batch_tids[key])
-            else:
-                lines = np.empty(0, dtype=np.int64)
-                tids = np.empty(0, dtype=np.int64)
-            streams[key] = (lines, tids, credits[key])
-        return streams
+        timing: Dict[str, List[float]] = {}
+        for thread, start, end in self._blocks(streams):
+            self.machine.replay(streams, [cores[t] for t in thread],
+                                thread, start, end, totals, timing)
+        counters: Dict[str, float] = {}
+        for name, (seconds, lines) in timing.items():
+            counters[f"{name}_s"] = seconds
+            counters[f"{name}_lines"] = lines
+        return counters
 
-    def _run_stack(self, works: List[ThreadWork]) -> SimResult:
-        """Price the run from per-stream stack-distance histograms.
+    def _price_stack(self, streams: List[np.ndarray], cores: List[int],
+                     totals: List[List[int]]) -> Dict[str, float]:
+        """Price the schedule from per-instance stack-distance histograms.
 
-        Miss counts are bit-for-bit those of the replayer on this
-        (single-level fully-associative LRU) platform, and the runtime
-        comes from the same per-thread totals through the same
-        :meth:`CostModel.thread_cycles`, so it is identical too.
+        Each cache instance's stream is the lines of its batches in
+        :meth:`_blocks` order, exactly what :meth:`_replay` would feed
+        it, so hit and miss counts are bit-for-bit the replayer's on
+        this (single-level fully-associative LRU) platform.  Histograms
+        are keyed by work position, and their counts go into the same
+        ``totals`` columns the replayer fills.  Returns the histogram
+        store hits as a span counter.
         """
-        self.machine.reset()
-        self._check_cores(works)
-        level = self.spec.levels[0]
-        level_name = level.cache.name
-        capacity_lines = level.cache.capacity_bytes // level.cache.line_bytes
-        hits: Dict[int, int] = {w.thread_id: 0 for w in works}
-        misses: Dict[int, int] = dict(hits)
-        total_hits = 0
-        total_misses = 0
-        store_hits_before = self.histogram_store.hits
-        with _trace.span("engine.replay", platform=self.spec.name,
-                         threads=len(works), quantum=self.quantum,
-                         backend="stack") as sp:
-            streams = self._instance_streams(works)
-            instances = self.machine.level_instances(0)
-            for key, (lines, tids, credit_by_tid) in streams.items():
-                hists = self.histogram_store.get_or_compute(
-                    stream_key(lines, tids),
-                    lambda lines=lines, tids=tids:
-                        per_thread_histograms(lines, tids))
-                inst_hits = 0
-                inst_misses = 0
-                inst_cold = 0
-                for tid, credit in credit_by_tid.items():
-                    hist = hists.get(tid)
-                    if hist is not None:
-                        t_hits = hist.hits(capacity_lines)
-                        t_misses = hist.misses(capacity_lines)
-                        inst_cold += hist.cold
-                    else:  # thread contributed only collapsed hits
-                        t_hits = t_misses = 0
-                    hits[tid] += t_hits + credit
-                    misses[tid] += t_misses
-                    inst_hits += t_hits + credit
-                    inst_misses += t_misses
-                instances[key].stats = CacheStats(
-                    accesses=inst_hits + inst_misses,
-                    hits=inst_hits,
-                    misses=inst_misses,
-                    evictions=inst_misses - min(inst_cold, capacity_lines),
-                )
-                total_hits += inst_hits
-                total_misses += inst_misses
-            sp.add("lines", sum(w.chunk.lines.size for w in works))
-            sp.add("accesses", sum(w.chunk.n_accesses for w in works))
-            sp.add("histogram_cache_hits",
-                   self.histogram_store.hits - store_hits_before)
-        with _trace.span("engine.cost") as sp:
-            n_ops: Dict[int, int] = {}
-            for w in works:
-                n_ops[w.thread_id] = n_ops.get(w.thread_id, 0) + w.chunk.n_ops
-            cycles = {
-                tid: self.cost.thread_cycles(
-                    ServiceCounts(per_level={level_name: hits[tid]},
-                                  mem=misses[tid]),
-                    n_ops[tid], self.spec)
-                for tid in hits
-            }
-            runtime = self.cost.seconds(max(cycles.values(), default=0.0),
-                                        self.spec)
-            result = SimResult(
-                counters={k: float(v)
-                          for k, v in self.machine.all_counters().items()},
-                level_served={level_name: float(total_hits),
-                              "MEM": float(total_misses)},
-                runtime_seconds=runtime,
-                per_thread_cycles=cycles,
-                n_accesses=sum(w.chunk.n_accesses for w in works),
-            )
-            sp.add("mem_lines", float(total_misses))
-        return result
+        cache = self.spec.levels[0].cache
+        capacity = cache.capacity_bytes // cache.line_bytes
+        keys = [self.machine.instance_key(0, c) for c in cores]
+        parts: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
+        owners: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
+        for thread, start, end in self._blocks(streams):
+            for key, batches in _groups([keys[t] for t in thread]).items():
+                lines, off = _gather(streams, thread, start, end, batches)
+                parts[key].append(lines)
+                owners[key].append(np.repeat([thread[b] for b in batches],
+                                             np.diff(off)))
+        store = self.histogram_store
+        store_hits = store.hits
+        instances = self.machine.level_instances(0)
+        empty = np.empty(0, dtype=np.int64)
+        for key in parts:
+            lines = np.concatenate(parts[key] or [empty])
+            owner = np.concatenate(owners[key] or [empty])
+            hists = store.get_or_compute(
+                stream_key(lines, owner),
+                partial(per_thread_histograms, lines, owner))
+            stats = instances[key].stats
+            cold = 0
+            for position, hist in hists.items():
+                misses = hist.misses(capacity)
+                totals[0][position] += hist.total - misses
+                totals[-2][position] += misses
+                stats.accesses += hist.total
+                stats.hits += hist.total - misses
+                stats.misses += misses
+                stats.evictions += misses
+                cold += hist.cold
+            stats.evictions -= min(cold, capacity)
+        return {"histogram_cache_hits": store.hits - store_hits}

@@ -7,8 +7,8 @@ its stack distance — the number of distinct lines touched since the
 previous access to the same line — is ``< C``, so one pass computing
 the stack-distance histogram prices **every** capacity at once
 (Mattson et al., 1970).  This module is that pass, fully vectorized,
-plus the plumbing that lets sweeps reuse a histogram across geometries
-without touching the trace again.
+plus the in-process memo that lets sweeps reuse a histogram across
+geometries without touching the trace again.
 
 Algorithm
 ---------
@@ -42,21 +42,18 @@ recency.  Counterexample: stream ``x y x z w x`` through L1=2,
 L2=3 lines — the final ``x`` has global stack distance 2 (< 3, so
 histogram pricing predicts an L2 hit) but L2, which saw only
 ``x y z w``, evicted ``x`` on ``w`` and actually misses.
-:func:`stack_ineligibility` encodes the exact domain; the engine falls
-back to the vectorized replayer outside it.
+:func:`stack_ineligibility` encodes the exact domain; outside it the
+engine replays the schedule on the ``auto`` replay backend instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..resilience import artifacts as _artifacts
 from .cache import CacheConfig
 from .hierarchy import LevelSpec, PlatformSpec
 
@@ -75,12 +72,6 @@ __all__ = [
 #: distance assigned to cold (first-touch) accesses, matching
 #: :data:`repro.analysis.reuse.INFINITE_DISTANCE`
 COLD = -1
-
-#: bumped whenever the on-disk histogram payload layout changes
-_HISTOGRAM_SCHEMA_VERSION = 1
-
-#: artifact-kind tag for sidecar integrity records
-_ARTIFACT_KIND = "stack-histogram"
 
 
 def _as_line_array(lines) -> np.ndarray:
@@ -153,9 +144,8 @@ def stack_distances(lines) -> np.ndarray:
     """Per-access LRU stack distances; cold accesses get :data:`COLD`.
 
     The distance of an access is the number of *distinct* lines touched
-    since the previous access to the same line — identical semantics to
-    :func:`repro.analysis.reuse.reuse_distance_histogram`, computed in
-    O(n log n) numpy passes with no per-access Python loop.
+    since the previous access to the same line, computed in O(n log n)
+    numpy passes with no per-access Python loop.
     """
     arr = _as_line_array(lines)
     n = arr.size
@@ -251,10 +241,11 @@ class StackDistanceHistogram:
 
     def miss_ratios(self, capacities: Sequence[int]) -> np.ndarray:
         """Miss ratio per capacity (0.0 for an empty stream)."""
+        misses = self.miss_counts(capacities)
         total = self.total
         if total == 0:
-            return np.zeros(len(capacities), dtype=np.float64)
-        return self.miss_counts(capacities) / float(total)
+            return np.zeros(misses.shape, dtype=np.float64)
+        return misses / float(total)
 
     def as_dict(self) -> Dict[int, int]:
         """``{distance: count}`` with cold keyed by :data:`COLD` — the
@@ -289,14 +280,15 @@ def stack_distance_histogram(lines) -> StackDistanceHistogram:
 
 
 def per_thread_histograms(lines, thread_ids) -> Dict[int, StackDistanceHistogram]:
-    """Distances over the *shared* stream, histogrammed per issuing thread.
+    """Distances over the *shared* stream, histogrammed per issuer.
 
     ``lines`` is one cache instance's interleaved access stream and
-    ``thread_ids`` names the issuer of each access.  Distances are
-    computed once over the shared stream (interleaving is what makes a
-    shared cache shared), then split by issuer — so pricing a capacity
-    yields exact per-thread hit/miss counts, which the cost model needs
-    for per-thread cycle accounting.
+    ``thread_ids`` names the issuer of each access (the engine passes
+    work positions).  Distances are computed once over the shared
+    stream (interleaving is what makes a shared cache shared), then
+    split by issuer — so pricing a capacity yields exact per-issuer
+    hit/miss counts, which the cost model needs for per-thread cycle
+    accounting.
     """
     arr = _as_line_array(lines)
     tids = np.asarray(thread_ids, dtype=np.int64).ravel()
@@ -388,115 +380,46 @@ def fully_associative_spec(capacity_lines: int,
     )
 
 
-# -- durable histogram artifacts ------------------------------------------------
+# -- histogram memo ---------------------------------------------------------------
 
 
 def stream_key(lines: np.ndarray, thread_ids: np.ndarray) -> str:
     """Content key of one instance stream (layout/kernel/order implied).
 
-    Hashes the interleaved line ids plus their per-access issuing
-    thread, little-endian int64 — everything the per-thread histograms
-    depend on and nothing they don't (capacity, in particular, is *not*
-    part of the key: that is the whole point).
+    Hashes the interleaved line ids plus their per-access issuer id,
+    little-endian int64 — everything the per-issuer histograms depend on
+    and nothing they don't (capacity, in particular, is *not* part of
+    the key: that is the whole point).
     """
     h = hashlib.sha256()
-    h.update(b"stackdist-v%d\n" % _HISTOGRAM_SCHEMA_VERSION)
     h.update(np.ascontiguousarray(lines, dtype="<i8").tobytes())
     h.update(b"|")
     h.update(np.ascontiguousarray(thread_ids, dtype="<i8").tobytes())
     return h.hexdigest()
 
 
-def _dump_histograms(hists: Dict[int, StackDistanceHistogram]) -> bytes:
-    """Serialize per-thread histograms: one JSON header line + raw arrays."""
-    header = {
-        "schema": _HISTOGRAM_SCHEMA_VERSION,
-        "threads": [
-            {"tid": tid, "cold": h.cold, "n": int(h.distances.size)}
-            for tid, h in sorted(hists.items())
-        ],
-    }
-    parts: List[bytes] = [json.dumps(header, sort_keys=True).encode("utf-8"),
-                          b"\n"]
-    for tid, h in sorted(hists.items()):
-        parts.append(np.ascontiguousarray(h.distances, dtype="<i8").tobytes())
-        parts.append(np.ascontiguousarray(h.counts, dtype="<i8").tobytes())
-    return b"".join(parts)
-
-
-def _load_histograms(data: bytes) -> Dict[int, StackDistanceHistogram]:
-    """Inverse of :func:`_dump_histograms` (raises ValueError on damage)."""
-    nl = data.index(b"\n")
-    header = json.loads(data[:nl].decode("utf-8"))
-    if header.get("schema") != _HISTOGRAM_SCHEMA_VERSION:
-        raise ValueError(f"unsupported histogram schema {header.get('schema')!r}")
-    out: Dict[int, StackDistanceHistogram] = {}
-    pos = nl + 1
-    for rec in header["threads"]:
-        n = int(rec["n"])
-        span = 8 * n
-        distances = np.frombuffer(data, dtype="<i8", count=n,
-                                  offset=pos).astype(np.int64)
-        counts = np.frombuffer(data, dtype="<i8", count=n,
-                               offset=pos + span).astype(np.int64)
-        pos += 2 * span
-        out[int(rec["tid"])] = StackDistanceHistogram(
-            distances=distances, counts=counts, cold=int(rec["cold"]))
-    if pos != len(data):
-        raise ValueError("trailing bytes after histogram payload")
-    return out
-
-
 class HistogramStore:
-    """Cache of per-thread histograms keyed by stream content.
+    """In-process memo of per-issuer histograms keyed by stream content.
 
-    Always memoizes in process; with a ``directory`` it additionally
-    persists each histogram bundle as a durable artifact
-    (:func:`repro.resilience.artifacts.write_artifact`: atomic replace
-    plus SHA-256 sidecar), so a later sweep — or another process —
-    re-prices new geometries without ever touching the trace again.  A
-    corrupt on-disk bundle is quarantined by the artifact layer and
-    transparently recomputed.
+    Share one store across engines so a capacity sweep prices every
+    geometry from one stack-distance pass per stream.
     """
 
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = os.fspath(directory) if directory is not None else None
+    def __init__(self):
         self._memory: Dict[str, Dict[int, StackDistanceHistogram]] = {}
         self.hits = 0
         self.misses = 0
-
-    def _path_for(self, key: str) -> str:
-        return os.path.join(self.directory, f"stackhist-{key}.bin")
 
     def get_or_compute(
         self, key: str,
         compute: Callable[[], Dict[int, StackDistanceHistogram]],
     ) -> Dict[int, StackDistanceHistogram]:
-        """Fetch the bundle for ``key``, computing and persisting on miss."""
+        """Fetch the bundle for ``key``, computing it on a miss."""
         cached = self._memory.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        if self.directory is not None:
-            path = self._path_for(key)
-            if os.path.exists(path):
-                try:
-                    hists = _load_histograms(
-                        _artifacts.read_artifact(path, require_sidecar=True))
-                except (_artifacts.ArtifactIntegrityError, ValueError,
-                        KeyError, OSError):
-                    pass  # quarantined/damaged: recompute below
-                else:
-                    self._memory[key] = hists
-                    self.hits += 1
-                    return hists
         self.misses += 1
         hists = compute()
         self._memory[key] = hists
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            _artifacts.write_artifact(
-                self._path_for(key), _dump_histograms(hists),
-                kind=_ARTIFACT_KIND,
-                schema_version=_HISTOGRAM_SCHEMA_VERSION)
         return hists

@@ -369,15 +369,11 @@ class VolumeServer:
         retry = self.reliability.retry
         return attempt > retry.max_retries or not retry.retryable(error)
 
-    # -- public surface ------------------------------------------------------
+    def _attempts(self, q: Query):
+        """The retry loop: yields each backoff delay, returns the outcome.
 
-    def serve(self, q: Query) -> Union[QueryResult, QueryRejected]:
-        """Synchronous single-query entry point (tests, scripts).
-
-        With a :class:`~repro.serve.reliability.ReliabilityConfig`
-        attached, failures are retried per the policy and an exhausted
-        query returns a typed :class:`QueryRejected`; without one,
-        failures raise (the original contract).
+        Its drivers differ only in how they wait: :meth:`serve` with
+        ``time.sleep``, :meth:`query` with ``asyncio.sleep``.
         """
         if self.reliability is None:
             return self._process(q)
@@ -389,8 +385,25 @@ class VolumeServer:
             if self._should_stop(error, attempt):
                 return self._give_up(q, error, attempt)
             _trace.add("serve.reliability_retries", 1)
-            time.sleep(self.reliability.retry.backoff_seconds(attempt))
+            yield self.reliability.retry.backoff_seconds(attempt)
             attempt += 1
+
+    # -- public surface ------------------------------------------------------
+
+    def serve(self, q: Query) -> Union[QueryResult, QueryRejected]:
+        """Synchronous single-query entry point (tests, scripts).
+
+        With a :class:`~repro.serve.reliability.ReliabilityConfig`
+        attached, failures are retried per the policy and an exhausted
+        query returns a typed :class:`QueryRejected`; without one,
+        failures raise (the original contract).
+        """
+        attempts = self._attempts(q)
+        try:
+            while True:
+                time.sleep(next(attempts))
+        except StopIteration as done:
+            return done.value
 
     async def query(self, q: Query,
                     semaphore: Optional[asyncio.Semaphore] = None
@@ -417,18 +430,12 @@ class VolumeServer:
             return await self._query_with_retries(q)
 
     async def _query_with_retries(self, q: Query):
-        if self.reliability is None:
-            return self._process(q)
-        attempt = 1
-        while True:
-            result, error = self._attempt(q, attempt)
-            if result is not None:
-                return result
-            if self._should_stop(error, attempt):
-                return self._give_up(q, error, attempt)
-            _trace.add("serve.reliability_retries", 1)
-            await asyncio.sleep(self.reliability.retry.backoff_seconds(attempt))
-            attempt += 1
+        attempts = self._attempts(q)
+        try:
+            while True:
+                await asyncio.sleep(next(attempts))
+        except StopIteration as done:
+            return done.value
 
     async def session(self, queries: Sequence[Query], *,
                       concurrency: int = 4,

@@ -19,6 +19,8 @@ from repro.analysis import (
 )
 from repro.memsim import Cache, CacheConfig
 
+from .reuse_oracle import reuse_bit, reuse_stack
+
 lines_st = st.lists(st.integers(0, 40), min_size=0, max_size=200)
 
 
@@ -41,18 +43,15 @@ class TestReuseDistance:
 
     @given(lines_st)
     def test_bit_matches_stack(self, lines):
-        assert (reuse_distance_histogram(lines, method="bit")
-                == reuse_distance_histogram(lines, method="stack"))
+        # the two oracles agree with each other before either judges
+        # the production path
+        assert reuse_bit(lines) == reuse_stack(lines)
 
     @given(lines_st)
     def test_total_count_preserved(self, lines):
         hist = reuse_distance_histogram(lines)
         assert sum(hist.values()) == len(lines)
         assert hist.get(INFINITE_DISTANCE, 0) == len(set(lines))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            reuse_distance_histogram([1], method="tree")
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=300))
     def test_miss_ratio_curve_matches_fully_assoc_lru(self, lines):
@@ -77,6 +76,17 @@ class TestReuseDistance:
     def test_empty_stream(self):
         assert reuse_distance_histogram([]) == {}
         assert np.allclose(miss_ratio_curve({}, [1, 2]), 0.0)
+
+    def test_generator_input(self):
+        assert reuse_distance_histogram(x for x in [1, 2, 1]) \
+            == {INFINITE_DISTANCE: 2, 1: 1}
+
+    @pytest.mark.parametrize("hist", [{}, {INFINITE_DISTANCE: 3},
+                                      {INFINITE_DISTANCE: 2, 0: 1}])
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_nonpositive_capacity_rejected(self, hist, capacity):
+        with pytest.raises(ValueError, match="positive"):
+            miss_ratio_curve(hist, [4, capacity])
 
 
 def _miss_ratio_curve_reference(hist, capacities):
@@ -128,30 +138,33 @@ class TestMissRatioCurveRegression:
             == _miss_ratio_curve_reference(hist, caps).tolist()
 
 
+#: the BIT oracle and the vectorized production path, each judged
+#: against the quadratic stack oracle
+IMPLEMENTATIONS = {"bit": reuse_bit, "vectorized": reuse_distance_histogram}
+
+
 class TestMethodAgreement:
-    """bit / stack / vectorized must agree on every stream."""
+    """The vectorized histogram must agree with both oracles."""
 
     @given(lines_st)
     def test_bit_vs_vectorized_random(self, lines):
-        assert (reuse_distance_histogram(lines, method="vectorized")
-                == reuse_distance_histogram(lines, method="bit"))
+        assert reuse_distance_histogram(lines) == reuse_bit(lines)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_STREAMS))
-    @pytest.mark.parametrize("method", ["bit", "vectorized"])
+    @pytest.mark.parametrize("method", sorted(IMPLEMENTATIONS))
     def test_adversarial_vs_stack(self, name, method):
         arr = ADVERSARIAL_STREAMS[name]
-        assert (reuse_distance_histogram(arr, method=method)
-                == reuse_distance_histogram(arr, method="stack"))
+        assert (IMPLEMENTATIONS[method](arr)
+                == reuse_stack(arr.tolist()))
 
 
 class TestNativeArrayInput:
     def test_ndarray_accepted_without_tolist(self):
         arr = np.array([1, 2, 3, 1], dtype=np.int64)
-        for method in ("bit", "stack", "vectorized"):
-            hist = reuse_distance_histogram(arr, method=method)
-            assert hist == {INFINITE_DISTANCE: 3, 2: 1}
-            # keys are Python ints, not np.int64 leftovers
-            assert all(type(k) is int for k in hist)
+        hist = reuse_distance_histogram(arr)
+        assert hist == {INFINITE_DISTANCE: 3, 2: 1}
+        # keys are Python ints, not np.int64 leftovers
+        assert all(type(k) is int for k in hist)
 
     def test_multidimensional_array_flattened(self):
         arr = np.array([[1, 2], [3, 1]], dtype=np.int64)
