@@ -287,24 +287,13 @@ class SimulationEngine:
         cache = self.spec.levels[0].cache
         capacity = cache.capacity_bytes // cache.line_bytes
         keys = [self.machine.instance_key(0, c) for c in cores]
-        parts: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
-        owners: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
-        for thread, start, end in self._blocks(streams):
-            for key, batches in _groups([keys[t] for t in thread]).items():
-                lines, off = _gather(streams, thread, start, end, batches)
-                parts[key].append(lines)
-                owners[key].append(np.repeat([thread[b] for b in batches],
-                                             np.diff(off)))
         store = self.histogram_store
         store_hits = store.hits
+        bundles = store.get_or_compute_schedule(
+            streams, (self.quantum, tuple(keys)),
+            partial(self._instance_histograms, streams, keys))
         instances = self.machine.level_instances(0)
-        empty = np.empty(0, dtype=np.int64)
-        for key in parts:
-            lines = np.concatenate(parts[key] or [empty])
-            owner = np.concatenate(owners[key] or [empty])
-            hists = store.get_or_compute(
-                stream_key(lines, owner),
-                partial(per_thread_histograms, lines, owner))
+        for key, hists in bundles.items():
             stats = instances[key].stats
             cold = 0
             for position, hist in hists.items():
@@ -318,3 +307,26 @@ class SimulationEngine:
                 cold += hist.cold
             stats.evictions -= min(cold, capacity)
         return {"histogram_cache_hits": store.hits - store_hits}
+
+    def _instance_histograms(self, streams: List[np.ndarray],
+                             keys: List[int]) -> Dict[int, dict]:
+        """Per-work histograms of each instance's stream (see
+        :meth:`_price_stack`), looked up by stream content."""
+        parts: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
+        owners: Dict[int, List[np.ndarray]] = {key: [] for key in keys}
+        for thread, start, end in self._blocks(streams):
+            for key, batches in _groups([keys[t] for t in thread]).items():
+                lines, off = _gather(streams, thread, start, end, batches)
+                parts[key].append(lines)
+                owners[key].append(np.repeat([thread[b] for b in batches],
+                                             np.diff(off)))
+        store = self.histogram_store
+        empty = np.empty(0, dtype=np.int64)
+        bundles = {}
+        for key in parts:
+            lines = np.concatenate(parts[key] or [empty])
+            owner = np.concatenate(owners[key] or [empty])
+            bundles[key] = store.get_or_compute(
+                stream_key(lines, owner),
+                partial(per_thread_histograms, lines, owner))
+        return bundles

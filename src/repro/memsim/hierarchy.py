@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cache import Cache, CacheConfig, CacheStats
+from .cache import Cache, CacheConfig, CacheStats, access_instances
 from .prefetch import PrefetchConfig, StreamPrefetcher
 
 __all__ = ["LevelSpec", "PlatformSpec", "ServiceCounts", "Machine"]
@@ -210,6 +210,14 @@ def _gather(streams: Sequence[np.ndarray], src: List[int], start: List[int],
     return np.concatenate([streams[s][a:e] for s, a, e in pieces]), off
 
 
+def _spans(groups: Dict[int, List[int]]) -> List[int]:
+    """Where each group's batches start, and the end, in group order."""
+    spans = [0]
+    for batches in groups.values():
+        spans.append(spans[-1] + len(batches))
+    return spans
+
+
 def _tick(timing: Optional[Dict[str, List[float]]], name: str, t0: float,
           lines: int) -> None:
     """Add one level pass's host seconds and input lines to ``timing``."""
@@ -328,13 +336,15 @@ class Machine:
 
         Batch ``b`` is ``streams[thread[b]][start[b]:end[b]]``, issued by
         ``core[b]``; batches come in schedule order.  Each cache instance
-        (and each per-core TLB) is called once, with every line still
+        (and each per-core TLB) is fed once, with every line still
         pending at its level from the batches it serves, concatenated in
         batch order.  This is exact: an instance's state depends only
         on the order of the lines it receives, and it receives them in
         the order a batch-at-a-time walk would feed them.  It is not
         exact when ``spec.replays_per_batch``; then a block must be one
-        batch.
+        batch.  A level's instances get their lines in one stream, one
+        span each (:func:`~repro.memsim.cache.access_instances`), so a
+        level on the reuse-window kernel replays in one call.
 
         Service counts are added into ``totals``, one row per level,
         then memory, then TLB misses, one column per thread.  When
@@ -347,56 +357,50 @@ class Machine:
                 f"platform {spec.name} replays one batch at a time")
         if self._tlbs is not None:
             t0 = time.perf_counter()
-            fed = 0
-            row = totals[-1]
-            for key, batches in _groups(core).items():
-                stream, off = _gather(streams, thread, start, end, batches)
-                if stream.size:
-                    fed += stream.size
-                    for b, n in zip(batches,
-                                    self._tlb_misses(key, stream, off)):
-                        row[thread[b]] += n
-            _tick(timing, spec.tlb.name, t0, fed)
+            groups = _groups(core)
+            order = [b for batches in groups.values() for b in batches]
+            stream, off = _gather(streams, thread, start, end, order)
+            if stream.size:
+                row = totals[-1]
+                tlbs = [self._tlbs[key] for key in groups]
+                for b, n in zip(order, self._tlb_misses(
+                        tlbs, stream, off, _spans(groups))):
+                    row[thread[b]] += n
+            _tick(timing, spec.tlb.name, t0, stream.size)
         src = thread
+        n = len(core)
         for li, level in enumerate(spec.levels):
             if start == end:
                 break  # every line was served by an inner level
             t0 = time.perf_counter()
-            fed = 0
+            groups = _groups([self.instance_key(li, c) for c in core])
+            order = [b for batches in groups.values() for b in batches]
+            stream, off = _gather(streams, src, start, end, order)
+            mp = self._level_access(li, groups, core, stream,
+                                    [off[k] for k in _spans(groups)])
+            cuts = mp.searchsorted(off).tolist()
             row = totals[li]
-            missed_streams: List[np.ndarray] = []
-            n = len(core)
-            next_src, next_start, next_end = [0] * n, [0] * n, [0] * n
-            keys = [self.instance_key(li, c) for c in core]
-            for key, batches in _groups(keys).items():
-                stream, off = _gather(streams, src, start, end, batches)
-                fed += stream.size
-                mp = (self._level_access(li, key, core[batches[0]], stream)
-                      if stream.size else stream)
-                cuts = mp.searchsorted(off).tolist()
-                k = len(missed_streams)
-                missed_streams.append(stream[mp])
-                for j, b in enumerate(batches):
-                    row[thread[b]] += (off[j + 1] - off[j]
-                                       - (cuts[j + 1] - cuts[j]))
-                    next_src[b] = k
-                    next_start[b] = cuts[j]
-                    next_end[b] = cuts[j + 1]
+            next_start, next_end = [0] * n, [0] * n
+            for j, b in enumerate(order):
+                row[thread[b]] += off[j + 1] - off[j] - (cuts[j + 1] - cuts[j])
+                next_start[b] = cuts[j]
+                next_end[b] = cuts[j + 1]
             # this level's input is consumed: only its misses go on
-            streams, src, start, end = (missed_streams, next_src,
-                                        next_start, next_end)
-            _tick(timing, level.cache.name, t0, fed)
+            streams, src, start, end = ([stream[mp]], [0] * n, next_start,
+                                        next_end)
+            _tick(timing, level.cache.name, t0, stream.size)
         row = totals[-2]
         for t, a, e in zip(thread, start, end):
             row[t] += e - a
 
-    def _tlb_misses(self, core: int, lines: np.ndarray,
-                    off: List[int]) -> List[int]:
-        """Look ``lines`` up in ``core``'s TLB; misses per batch.
+    def _tlb_misses(self, tlbs: List[Cache], lines: np.ndarray,
+                    off: List[int], spans: List[int]) -> List[int]:
+        """Look ``lines`` up in the TLBs; misses per batch.
 
-        Consecutive lines on one page are looked up once, except that
-        the first page of every batch is always looked up.  The
-        collapsed repeats are guaranteed hits.
+        ``off`` delimits the batches, and ``tlbs[i]`` serves batches
+        ``spans[i]`` to ``spans[i + 1]``.  Consecutive lines on one page
+        are looked up once, except that the first page of every batch
+        is always looked up.  The collapsed repeats are guaranteed hits.
         """
         pages = lines // self._lines_per_page
         keep = np.empty(pages.size, dtype=bool)
@@ -408,18 +412,32 @@ class Machine:
         kept_off = [0]
         for a, e in zip(off, off[1:]):
             kept_off.append(kept_off[-1] + (next(kept) if e > a else 0))
-        tlb = self._tlbs[core]
-        cuts = tlb.access_positions(pages[keep]).searchsorted(kept_off)
-        repeats = pages.size - kept_off[-1]
-        tlb.stats.accesses += repeats
-        tlb.stats.hits += repeats
+        kept_bounds = [kept_off[k] for k in spans]
+        pages = pages[keep]
+        del keep
+        cuts = access_instances(tlbs, pages,
+                                kept_bounds).searchsorted(kept_off)
+        for tlb, a, e in zip(tlbs, spans, spans[1:]):
+            repeats = (off[e] - off[a]) - (kept_off[e] - kept_off[a])
+            tlb.stats.accesses += repeats
+            tlb.stats.hits += repeats
         return (cuts[1:] - cuts[:-1]).tolist()
 
-    def _level_access(self, level_index: int, key: int, core: int,
-                      lines: np.ndarray) -> np.ndarray:
-        """Feed one instance of a level; positions of its misses."""
-        cache = self._caches[level_index][key]
+    def _level_access(self, level_index: int, groups: Dict[int, List[int]],
+                      core: List[int], lines: np.ndarray,
+                      bounds: List[int]) -> np.ndarray:
+        """Feed each instance of a level its span of ``lines``.
+
+        ``groups`` maps instance keys to their batches, in the order of
+        their spans.  Returns the positions of the misses, ascending.
+        """
+        caches = [self._caches[level_index][key] for key in groups]
         prefetchers = self._prefetchers[level_index]
+        if prefetchers is None and not caches[0].track_evictions:
+            return access_instances(caches, lines, bounds)
+        # prefetching and inclusive levels replay one batch per block
+        (batches,) = groups.values()
+        cache = caches[0]
         if prefetchers is None:
             missed = cache.access_positions(lines)
         else:
@@ -427,7 +445,7 @@ class Machine:
             # demand-access in small sub-batches so the prefetcher
             # never runs unboundedly ahead of the demand stream
             # (which would evict its own fills)
-            pf = prefetchers[core]
+            pf = prefetchers[core[batches[0]]]
             parts = []
             evicted_all: list = []
             for start in range(0, lines.size, 16):
@@ -439,9 +457,9 @@ class Machine:
             missed = np.concatenate(parts)
             if cache.track_evictions:
                 cache.last_evicted = evicted_all
-        if (self.spec.inclusive and level_index == len(self.spec.levels) - 1
-                and level_index > 0 and cache.last_evicted):
-            self._back_invalidate(level_index, core, cache.last_evicted)
+        if cache.track_evictions and cache.last_evicted:
+            self._back_invalidate(level_index, core[batches[0]],
+                                  cache.last_evicted)
         return missed
 
     def _back_invalidate(self, llc_index: int, core: int,

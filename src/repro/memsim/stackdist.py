@@ -402,11 +402,16 @@ class HistogramStore:
     """In-process memo of per-issuer histograms keyed by stream content.
 
     Share one store across engines so a capacity sweep prices every
-    geometry from one stack-distance pass per stream.
+    geometry from one stack-distance pass per stream.  Histograms are
+    keyed by stream content (:func:`stream_key`); on top of that, a
+    schedule memo (:meth:`get_or_compute_schedule`) maps the works an
+    engine prices to their instances' histograms, so pricing the same
+    prepared works again neither rebuilds nor re-hashes their streams.
     """
 
     def __init__(self):
         self._memory: Dict[str, Dict[int, StackDistanceHistogram]] = {}
+        self._schedules: Dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -423,3 +428,29 @@ class HistogramStore:
         hists = compute()
         self._memory[key] = hists
         return hists
+
+    def get_or_compute_schedule(
+        self, streams: Sequence[np.ndarray], schedule: tuple,
+        compute: Callable[[], Dict[int, Dict[int, StackDistanceHistogram]]],
+    ) -> Dict[int, Dict[int, StackDistanceHistogram]]:
+        """Per-instance bundles of ``streams`` replayed as ``schedule``.
+
+        ``schedule`` names everything besides the streams that the
+        instance streams depend on (the engine passes its quantum and
+        each work's instance).  Streams are matched by identity: an
+        entry holds its arrays, so no other array can take their ids
+        while it lives, and different arrays are different works.
+        Trace arrays must not be changed in place once priced.  A hit
+        counts one histogram hit per instance; ``compute`` looks its
+        bundles up through :meth:`get_or_compute`.
+        """
+        key = (schedule, tuple(map(id, streams)))
+        entry = self._schedules.get(key)
+        if entry is not None:
+            held, bundles = entry
+            if all(a is b for a, b in zip(held, streams)):
+                self.hits += len(bundles)
+                return bundles
+        bundles = compute()
+        self._schedules[key] = (tuple(streams), bundles)
+        return bundles

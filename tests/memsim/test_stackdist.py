@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.memsim.engine as engine_mod
 from repro.memsim import (
     Cache,
     CacheConfig,
@@ -247,6 +249,47 @@ class TestEngineStackBackend:
             eng.run(works)
         assert store.misses == 1  # one analysis pass, four pricings
         assert store.hits == 3
+
+    def test_schedule_memo_builds_and_keys_streams_once(self):
+        rng = np.random.default_rng(8)
+        spec4 = fully_associative_spec(16, n_cores=2)
+        works = _works(rng, spec4, 4, 500, 200)
+        store = HistogramStore()
+        calls = []
+
+        def counting_key(lines, owner):
+            calls.append(lines.size)
+            return stream_key(lines, owner)
+
+        with mock.patch.object(engine_mod, "stream_key", counting_key):
+            for cap in (8, 16, 32, 64):
+                spec = fully_associative_spec(cap, n_cores=2)
+                got = SimulationEngine(spec, backend="stack", quantum=64,
+                                       histogram_store=store).run(works)
+                assert got == SimulationEngine(
+                    spec, backend="vector", quantum=64).run(works)
+        assert len(calls) == 2  # one per core instance, first capacity only
+        assert (store.misses, store.hits) == (2, 6)
+
+    def test_schedule_memo_tells_schedules_apart(self):
+        """A shared store prices other quanta, core maps and works
+        exactly as a fresh store does."""
+        rng = np.random.default_rng(9)
+        spec = fully_associative_spec(32, n_cores=2)
+        works = _works(rng, spec, 4, 400, 150)
+        remapped = [replace(w, core=0) for w in works]  # one shared cache
+        fresh = [ThreadWork(w.thread_id, w.core, TraceChunk(
+            lines=w.chunk.lines[::-1].copy(), collapsed_hits=0,
+            n_ops=w.chunk.n_ops)) for w in works]
+        store = HistogramStore()
+        for ws, quantum in ((works, 64), (works, 16), (remapped, 16),
+                            (fresh, 16), (works, 64)):
+            shared = SimulationEngine(spec, backend="stack", quantum=quantum,
+                                      histogram_store=store)
+            alone = SimulationEngine(spec, backend="vector", quantum=quantum)
+            assert shared.run(ws) == alone.run(ws)
+            assert shared.machine.level_stats("L1") \
+                == alone.machine.level_stats("L1")
 
     def test_empty_works(self):
         spec = fully_associative_spec(8)
